@@ -57,6 +57,12 @@ impl PortValues {
         self.values[port] = Some(value);
     }
 
+    /// Empties every port, keeping the frame's size (lets a caller
+    /// reuse one frame across cycles).
+    pub fn clear(&mut self) {
+        self.values.fill(None);
+    }
+
     /// Ports carrying a value this cycle.
     pub fn occupied(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.values
@@ -101,6 +107,14 @@ pub trait Pearl: Send {
 
     /// Executes one enabled cycle.
     fn clock(&mut self, inputs: &PortValues) -> PortValues;
+
+    /// [`Pearl::clock`] into a caller-owned frame with one slot per
+    /// output port, which it fully overwrites. A shell that clocks many
+    /// pearls per cycle reuses one frame instead of allocating per
+    /// clock; pearls on that path override this allocation-free.
+    fn clock_into(&mut self, inputs: &PortValues, out: &mut PortValues) {
+        *out = self.clock(inputs);
+    }
 
     /// Returns to the power-up state (enabled cycle 0).
     fn reset(&mut self);
@@ -180,9 +194,14 @@ impl Pearl for AccumulatorPearl {
     }
 
     fn clock(&mut self, inputs: &PortValues) -> PortValues {
+        let mut out = PortValues::empty(self.schedule.n_outputs());
+        self.clock_into(inputs, &mut out);
+        out
+    }
+
+    fn clock_into(&mut self, inputs: &PortValues, out: &mut PortValues) {
         let io = self.schedule.at(self.step);
-        let n_out = self.schedule.n_outputs();
-        let mut out = PortValues::empty(n_out);
+        out.clear();
         for port in io.reads.iter() {
             self.held[port] = inputs
                 .get(port)
@@ -197,7 +216,6 @@ impl Pearl for AccumulatorPearl {
             }
         }
         self.step = (self.step + 1) % self.schedule.period();
-        out
     }
 
     fn reset(&mut self) {

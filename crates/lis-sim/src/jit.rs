@@ -1773,6 +1773,11 @@ pub const JIT_PARALLEL_MIN_INSTRS: usize = 4096;
 /// **level-parallel threaded mode** ([`JitPackedNetlistSim::set_threads`])
 /// that shards each level's runs across the work-stealing pool in
 /// deterministic index order — bit-identical at any thread count.
+///
+/// Eval is **change-driven**: [`JitPackedNetlistSim::eval`] returns at
+/// once unless an input plane or a flip-flop changed since the last
+/// eval. That is exact, because eval is a pure function of the input
+/// slots, the registered state and the constants.
 #[derive(Debug)]
 pub struct JitPackedNetlistSim {
     module: Module,
@@ -1780,6 +1785,9 @@ pub struct JitPackedNetlistSim {
     values: Vec<u64>,
     /// Registered state, indexed like `prog.dffs`; one bit per lane.
     state: Vec<u64>,
+    /// An input slot or a flip-flop changed since the last eval, so
+    /// `values` no longer reflects them.
+    stale: bool,
     pool: Option<WorkStealingPool>,
     par_threshold: usize,
 }
@@ -1801,6 +1809,7 @@ impl JitPackedNetlistSim {
             prog,
             values,
             state,
+            stale: true,
             pool: None,
             par_threshold: JIT_PARALLEL_MIN_INSTRS,
         })
@@ -1861,6 +1870,7 @@ impl JitPackedNetlistSim {
         for (s, d) in self.state.iter_mut().zip(&self.prog.dffs) {
             *s = if d.reset_value { u64::MAX } else { 0 };
         }
+        self.stale = true;
     }
 
     /// The registered flip-flop state, in program order, one bit per
@@ -1878,7 +1888,10 @@ impl JitPackedNetlistSim {
     /// Panics if `state` does not have one entry per flip-flop.
     pub fn set_dff_state(&mut self, state: &[u64]) {
         assert_eq!(state.len(), self.state.len(), "dff state length mismatch");
-        self.state.copy_from_slice(state);
+        if self.state != state {
+            self.state.copy_from_slice(state);
+            self.stale = true;
+        }
     }
 
     /// Resolves an input port name to a [`PortHandle`].
@@ -1908,7 +1921,9 @@ impl JitPackedNetlistSim {
     pub fn set_input_bit_lanes(&mut self, h: PortHandle, bit: usize, lanes: u64) {
         assert!(!h.output, "set_input_bit_lanes needs an input handle");
         let (_, slots) = &self.prog.inputs[h.index];
-        self.values[slots[bit] as usize] = lanes;
+        let w = &mut self.values[slots[bit] as usize];
+        self.stale |= *w != lanes;
+        *w = lanes;
     }
 
     /// Reads bit `bit` of an output port across all lanes.
@@ -1935,7 +1950,9 @@ impl JitPackedNetlistSim {
         for (i, &slot) in slots.iter().enumerate() {
             let bit = u64::from(i < 64 && (value >> i) & 1 == 1);
             let w = &mut self.values[slot as usize];
-            *w = (*w & !(1 << lane)) | (bit << lane);
+            let word = (*w & !(1 << lane)) | (bit << lane);
+            self.stale |= *w != word;
+            *w = word;
         }
     }
 
@@ -1963,11 +1980,14 @@ impl JitPackedNetlistSim {
         let h = self.input_handle(port)?;
         let (_, slots) = &self.prog.inputs[h.index];
         for (i, &slot) in slots.iter().enumerate() {
-            self.values[slot as usize] = if i < 64 && (value >> i) & 1 == 1 {
+            let word = if i < 64 && (value >> i) & 1 == 1 {
                 u64::MAX
             } else {
                 0
             };
+            let w = &mut self.values[slot as usize];
+            self.stale |= *w != word;
+            *w = word;
         }
         Ok(())
     }
@@ -2006,8 +2026,13 @@ impl JitPackedNetlistSim {
 
     /// Settles combinational logic in every lane: single-threaded run
     /// walk, or level-parallel shards when a pool is attached and the
-    /// program is large enough to pay for the handoff.
+    /// program is large enough to pay for the handoff. Returns at once
+    /// when no input plane or flip-flop changed since the last eval.
     pub fn eval(&mut self) {
+        if !self.stale {
+            return;
+        }
+        self.stale = false;
         let prog = &self.prog;
         debug_assert_eq!(self.values.len(), prog.slots);
         for (i, dff) in prog.dffs.iter().enumerate() {
@@ -2063,7 +2088,9 @@ impl JitPackedNetlistSim {
     /// changed in *any* lane.
     pub fn step_changed(&mut self) -> bool {
         self.eval();
-        commit_jit(&self.prog, &self.values, &mut self.state)
+        let changed = commit_jit(&self.prog, &self.values, &mut self.state);
+        self.stale |= changed;
+        changed
     }
 }
 

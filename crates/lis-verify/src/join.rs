@@ -75,8 +75,14 @@ impl Pearl for JoinPearl {
     }
 
     fn clock(&mut self, inputs: &PortValues) -> PortValues {
-        let io = self.schedule.at(self.step);
         let mut out = PortValues::empty(1);
+        self.clock_into(inputs, &mut out);
+        out
+    }
+
+    fn clock_into(&mut self, inputs: &PortValues, out: &mut PortValues) {
+        let io = self.schedule.at(self.step);
+        out.clear();
         for port in io.reads.iter() {
             self.held[port] = inputs
                 .get(port)
@@ -89,7 +95,6 @@ impl Pearl for JoinPearl {
             out.set(0, self.held[0]);
         }
         self.step = (self.step + 1) % self.schedule.period();
-        out
     }
 
     fn reset(&mut self) {

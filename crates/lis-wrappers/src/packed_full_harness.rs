@@ -14,13 +14,41 @@
 //! behind scenario fleets: a fleet batch pays for the expensive
 //! gate-level shells *and* the channel plumbing once per node, not once
 //! per node × scenario.
+//!
+//! Pearl values cross the shell boundary as bit planes too: the
+//! `pearl_out` registers are kept as per-port planes, updated by XOR of
+//! the changed bits whenever a lane's pearl clocks or a lane is loaded,
+//! and each `pearl_in` port is read back with one 64×64 bit-matrix
+//! transpose.
 
 use crate::fifo_netlist::assemble_full_wrapper;
 use lis_netlist::Module;
 use lis_proto::{PackedLisChannel, Pearl, PortValues, ViolationCounter};
+use lis_schedule::IoSchedule;
 use lis_sim::{
     Activity, Component, JitPackedNetlistSim, PortHandle, Ports, SignalView, System, LANES,
 };
+
+/// Transposes a 64×64 bit matrix in place: afterwards bit `c` of
+/// `m[r]` is what bit `r` of `m[c]` was. Turns 64 bit planes into 64
+/// per-lane words and back.
+fn transpose64(m: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFF_u64;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            // Swap the high `j` columns of row k with the low `j`
+            // columns of row k + j, inside every j-aligned block.
+            let t = ((m[k] >> j) ^ m[k + j]) & mask;
+            m[k] ^= t << j;
+            m[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
+}
 
 /// A patient process whose gate-level shell executes up to [`LANES`]
 /// scenario lanes in one packed netlist, wired to packed channels.
@@ -47,6 +75,9 @@ pub struct PackedFullNetlistPatientProcess {
     h_out_void: Vec<PortHandle>,
     in_widths: Vec<usize>,
     out_widths: Vec<usize>,
+    /// The schedule every lane follows: one controller ROM serves all
+    /// lanes, so the constructor demands identical schedules.
+    schedule: IoSchedule,
     /// Schedule position per lane (lanes diverge under different
     /// back-pressure).
     schedule_steps: Vec<usize>,
@@ -56,6 +87,16 @@ pub struct PackedFullNetlistPatientProcess {
     out_channels: Vec<PackedLisChannel>,
     /// Pearl outputs presented on `pearl_out*`, per lane.
     pearl_out: Vec<Vec<u64>>,
+    /// `pearl_out` as bit planes, per port: bit `k` of
+    /// `pearl_out_planes[o][b]` is bit `b` of `pearl_out[k][o]`.
+    pearl_out_planes: Vec<[u64; LANES]>,
+    /// `pearl_out_planes` changed since they were last driven.
+    pearl_out_dirty: bool,
+    /// Per-lane `pearl_in` values, per port (transpose scratch).
+    pearl_in: Vec<[u64; LANES]>,
+    /// Input and output frames reused across pearl clocks.
+    pearl_inputs: PortValues,
+    pearl_outputs: PortValues,
     /// Lanes whose pearl has been clocked this cycle (same one-shot
     /// latch as the scalar harness, one bit per lane).
     clocked_mask: u64,
@@ -104,7 +145,11 @@ impl PackedFullNetlistPatientProcess {
         let iface = pearls[0].interface();
         let in_widths: Vec<usize> = iface.inputs().map(|p| p.width as usize).collect();
         let out_widths: Vec<usize> = iface.outputs().map(|p| p.width as usize).collect();
-        let period = pearls[0].schedule().period();
+        assert!(
+            in_widths.iter().chain(&out_widths).all(|&w| w <= 64),
+            "pearl ports carry at most 64 bits"
+        );
+        let schedule = pearls[0].schedule().clone();
         for pearl in &pearls[1..] {
             let iw: Vec<usize> = pearl
                 .interface()
@@ -124,10 +169,9 @@ impl PackedFullNetlistPatientProcess {
                 ow, out_widths,
                 "all lanes must share the pearl output interface"
             );
-            assert_eq!(
-                pearl.schedule().period(),
-                period,
-                "all lanes must share the schedule period"
+            assert!(
+                *pearl.schedule() == schedule,
+                "all lanes must share one schedule: one controller ROM serves every lane"
             );
         }
         assert_eq!(in_channels.len(), in_widths.len(), "one channel per input");
@@ -185,12 +229,18 @@ impl PackedFullNetlistPatientProcess {
             h_out_stop,
             h_out_data,
             h_out_void,
+            pearl_in: vec![[0; LANES]; in_widths.len()],
+            pearl_inputs: PortValues::empty(in_widths.len()),
+            pearl_outputs: PortValues::empty(n_out),
             in_widths,
             out_widths,
+            schedule,
             schedule_steps: vec![0; lanes],
             in_channels,
             out_channels,
             pearl_out: vec![vec![0; n_out]; lanes],
+            pearl_out_planes: vec![[0; LANES]; n_out],
+            pearl_out_dirty: true,
             clocked_mask: 0,
             active_mask,
             violations,
@@ -202,16 +252,29 @@ impl PackedFullNetlistPatientProcess {
         self.pearls.len()
     }
 
-    /// Drives one input port with a per-lane value, transposed into
-    /// per-bit lane words (one shell write per port bit, not per lane).
-    fn drive_port(shell: &mut JitPackedNetlistSim, h: PortHandle, width: usize, values: &[u64]) {
-        for bit in 0..width {
-            let mut word = 0u64;
-            for (lane, v) in values.iter().enumerate() {
-                word |= ((v >> bit) & 1) << lane;
-            }
-            shell.set_input_bit_lanes(h, bit, word);
+    /// Sets lane `lane`'s `pearl_out` register for `port`, flipping
+    /// just the plane bits that change.
+    fn set_pearl_out(&mut self, lane: usize, port: usize, value: u64) {
+        let mut diff = self.pearl_out[lane][port] ^ value;
+        self.pearl_out[lane][port] = value;
+        self.pearl_out_dirty |= diff != 0;
+        let planes = &mut self.pearl_out_planes[port];
+        while diff != 0 {
+            planes[diff.trailing_zeros() as usize] ^= 1 << lane;
+            diff &= diff - 1;
         }
+    }
+
+    /// Rebuilds every `pearl_out` plane from the per-lane registers.
+    fn rebuild_pearl_out_planes(&mut self) {
+        for (o, planes) in self.pearl_out_planes.iter_mut().enumerate() {
+            *planes = [0; LANES];
+            for (lane, regs) in self.pearl_out.iter().enumerate() {
+                planes[lane] = regs[o];
+            }
+            transpose64(planes);
+        }
+        self.pearl_out_dirty = true;
     }
 
     fn drive_shell_inputs(&mut self, sigs: &SignalView<'_>) {
@@ -228,15 +291,19 @@ impl PackedFullNetlistPatientProcess {
             let void = ch.read_void(sigs) | !self.active_mask;
             self.shell.set_input_bit_lanes(self.h_in_void[i], 0, void);
         }
-        let mut data = vec![0u64; self.lanes()];
-        for (o, &width) in self.out_widths.iter().enumerate() {
+        for (o, ch) in self.out_channels.iter().enumerate() {
             // Idle lanes see permanent back-pressure as well as reset.
-            let stop = self.out_channels[o].read_stop(sigs) | !self.active_mask;
+            let stop = ch.read_stop(sigs) | !self.active_mask;
             self.shell.set_input_bit_lanes(self.h_out_stop[o], 0, stop);
-            for (lane, pearl_out) in self.pearl_out.iter().enumerate() {
-                data[lane] = pearl_out[o];
+        }
+        if self.pearl_out_dirty {
+            self.pearl_out_dirty = false;
+            for (o, &width) in self.out_widths.iter().enumerate() {
+                for (bit, &plane) in self.pearl_out_planes[o][..width].iter().enumerate() {
+                    self.shell
+                        .set_input_bit_lanes(self.h_pearl_out[o], bit, plane);
+                }
             }
-            Self::drive_port(&mut self.shell, self.h_pearl_out[o], width, &data);
         }
     }
 
@@ -251,24 +318,37 @@ impl PackedFullNetlistPatientProcess {
         }
         self.shell.eval();
         let enabled = self.shell.get_output_bit_lanes(self.h_enable, 0) & pending;
+        // Per-lane `pearl_in` values come from one transpose per port,
+        // made the first time an enabled lane reads that port.
+        let mut transposed = 0u64;
+        let period = self.schedule.period();
         let mut lanes = enabled;
         while lanes != 0 {
             let lane = lanes.trailing_zeros() as usize;
             lanes &= lanes - 1;
-            let io = self.pearls[lane].schedule().at(self.schedule_steps[lane]);
-            let mut inputs = PortValues::empty(self.in_widths.len());
+            let step = self.schedule_steps[lane];
+            let io = self.schedule.steps()[step];
+            self.pearl_inputs.clear();
             for port in io.reads.iter() {
-                inputs.set(
-                    port,
-                    self.shell.get_output_lane_h(self.h_pearl_in[port], lane),
-                );
+                if transposed >> port & 1 == 0 {
+                    transposed |= 1 << port;
+                    let planes = &mut self.pearl_in[port];
+                    let (live, rest) = planes.split_at_mut(self.in_widths[port]);
+                    for (bit, plane) in live.iter_mut().enumerate() {
+                        *plane = self.shell.get_output_bit_lanes(self.h_pearl_in[port], bit);
+                    }
+                    rest.fill(0);
+                    transpose64(planes);
+                }
+                self.pearl_inputs.set(port, self.pearl_in[port][lane]);
             }
-            let outputs = self.pearls[lane].clock(&inputs);
-            for (port, value) in outputs.occupied() {
-                self.pearl_out[lane][port] = value;
+            self.pearls[lane].clock_into(&self.pearl_inputs, &mut self.pearl_outputs);
+            for port in 0..self.pearl_outputs.len() {
+                if let Some(value) = self.pearl_outputs.get(port) {
+                    self.set_pearl_out(lane, port, value);
+                }
             }
-            self.schedule_steps[lane] =
-                (self.schedule_steps[lane] + 1) % self.pearls[lane].schedule().period();
+            self.schedule_steps[lane] = if step + 1 == period { 0 } else { step + 1 };
         }
         self.clocked_mask |= enabled;
     }
@@ -347,12 +427,13 @@ impl Component for PackedFullNetlistPatientProcess {
         let mut at = 2 + n_dffs;
         let n_out = self.out_widths.len();
         for lane in 0..self.lanes() {
-            self.schedule_steps[lane] = data[at] as usize;
+            self.schedule_steps[lane] = data[at] as usize % self.schedule.period();
             self.pearl_out[lane].copy_from_slice(&data[at + 1..at + 1 + n_out]);
             let n_pearl = data[at + 1 + n_out] as usize;
             self.pearls[lane].load_state(&data[at + 2 + n_out..at + 2 + n_out + n_pearl]);
             at += 2 + n_out + n_pearl;
         }
+        self.rebuild_pearl_out_planes();
         self.clocked_mask = 0;
     }
 
@@ -386,10 +467,14 @@ impl Component for PackedFullNetlistPatientProcess {
         }
         let mut at = dffs.len().div_ceil(64);
         self.shell.set_dff_state(&dffs);
-        self.schedule_steps[lane] = data[at] as usize;
-        let n_out = self.out_widths.len();
-        self.pearl_out[lane].copy_from_slice(&data[at + 1..at + 1 + n_out]);
-        at += 1 + n_out;
+        self.schedule_steps[lane] = data[at] as usize % self.schedule.period();
+        for (port, &value) in data[at + 1..at + 1 + self.out_widths.len()]
+            .iter()
+            .enumerate()
+        {
+            self.set_pearl_out(lane, port, value);
+        }
+        at += 1 + self.out_widths.len();
         let n_pearl = data[at] as usize;
         self.pearls[lane].load_state(&data[at + 1..at + 1 + n_pearl]);
         self.clocked_mask &= !bit;
@@ -629,6 +714,149 @@ mod tests {
             .map(|r| r.lock().unwrap().clone())
             .collect();
         assert_eq!(got, want, "restored packed run diverges");
+    }
+
+    #[test]
+    fn transpose64_swaps_rows_and_columns() {
+        let mut m = [0u64; 64];
+        let mut x = 0x9E37_79B9_7F4A_7C15_u64;
+        for row in &mut m {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *row = x;
+        }
+        let orig = m;
+        transpose64(&mut m);
+        for (r, row) in m.iter().enumerate() {
+            for (c, col) in orig.iter().enumerate() {
+                assert_eq!(row >> c & 1, col >> r & 1, "bit ({r}, {c})");
+            }
+        }
+    }
+
+    /// Forwards every [`Component`] call to a shared harness, so a test
+    /// can inspect the harness between kernel cycles.
+    struct Shared {
+        name: String,
+        inner: std::sync::Arc<std::sync::Mutex<PackedFullNetlistPatientProcess>>,
+    }
+
+    impl Shared {
+        fn get(&self) -> std::sync::MutexGuard<'_, PackedFullNetlistPatientProcess> {
+            self.inner.lock().expect("harness lock")
+        }
+    }
+
+    impl Component for Shared {
+        fn name(&self) -> &str {
+            &self.name
+        }
+        fn ports(&self) -> Ports {
+            self.get().ports()
+        }
+        fn eval(&mut self, sigs: &mut SignalView<'_>) {
+            self.get().eval(sigs);
+        }
+        fn tick(&mut self, sigs: &SignalView<'_>) -> Activity {
+            self.get().tick(sigs)
+        }
+        fn save_state(&self, out: &mut Vec<u64>) {
+            self.get().save_state(out);
+        }
+        fn load_state(&mut self, data: &[u64]) {
+            self.get().load_state(data);
+        }
+        fn save_lane_state(&self, lane: usize, out: &mut Vec<u64>) {
+            self.get().save_lane_state(lane, out);
+        }
+        fn load_lane_state(&mut self, lane: usize, data: &[u64]) {
+            self.get().load_lane_state(lane, data);
+        }
+    }
+
+    /// The maintained `pearl_out` planes equal a from-scratch bit-by-bit
+    /// transpose of the per-lane registers.
+    fn assert_planes_current(pp: &PackedFullNetlistPatientProcess, when: &str) {
+        for (o, planes) in pp.pearl_out_planes.iter().enumerate() {
+            for (bit, &plane) in planes.iter().enumerate() {
+                let want = pp
+                    .pearl_out
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |w, (lane, regs)| w | (regs[o] >> bit & 1) << lane);
+                assert_eq!(plane, want, "{when}: port {o} bit {bit}");
+            }
+        }
+    }
+
+    /// After any mix of pearl clocks, per-lane save/load and a whole
+    /// checkpoint restore, the planes driven onto `pearl_out*` are
+    /// exactly the transpose of the per-lane `pearl_out` registers.
+    #[test]
+    fn pearl_out_planes_track_registers() {
+        use lis_proto::{PackedSeqSink, PackedSeqSource, StallControl};
+        let schedule = AccumulatorPearl::new("acc", 1, 1, 0).schedule().clone();
+        let controller = WrapperKind::Sp.generate_netlist(&schedule).unwrap();
+        let mut sys = System::new();
+        let pearls: Vec<Box<dyn Pearl>> = (0..LANES)
+            .map(|_| Box::new(AccumulatorPearl::new("acc", 1, 1, 0)) as Box<dyn Pearl>)
+            .collect();
+        let violations: Vec<ViolationCounter> =
+            (0..LANES).map(|_| ViolationCounter::new()).collect();
+        let ins = vec![PackedLisChannel::new(&mut sys, "pp_in0", 32)];
+        let outs = vec![PackedLisChannel::new(&mut sys, "pp_out0", 32)];
+        let pp = PackedFullNetlistPatientProcess::new(
+            "pp",
+            pearls,
+            controller,
+            ins.clone(),
+            outs.clone(),
+            violations.clone(),
+        );
+        let shared = std::sync::Arc::new(std::sync::Mutex::new(pp));
+        sys.add_component(Shared {
+            name: "pp".into(),
+            inner: shared.clone(),
+        });
+        sys.add_component(PackedSeqSource::new(
+            "src",
+            ins[0].clone(),
+            StallControl::Scripted(vec![]),
+            64,
+            u64::MAX,
+        ));
+        // Lane-dependent back-pressure makes the lanes' registers differ.
+        sys.add_component(PackedSeqSink::new(
+            "snk",
+            outs[0].clone(),
+            StallControl::Scripted(vec![0xF0F0_FF00_0F0F_00FF; 48]),
+            64,
+            u64::MAX,
+            &violations,
+        ));
+        let check = |when: &str| assert_planes_current(&shared.lock().unwrap(), when);
+        for cycle in 0..30 {
+            sys.run(1).unwrap();
+            check(&format!("cycle {cycle}"));
+        }
+        let snap = sys.checkpoint();
+        sys.run(10).unwrap();
+        let lanes: Vec<Vec<u64>> = (0..LANES).map(|k| sys.save_lane(k)).collect();
+        assert!(
+            lanes.iter().any(|l| *l != lanes[0]),
+            "the lanes must diverge for the check to mean anything"
+        );
+        for (k, words) in lanes.iter().enumerate() {
+            sys.load_lane((k * 17 + 5) % LANES, words);
+            check(&format!("lane load {k}"));
+        }
+        sys.restore(&snap);
+        check("checkpoint restore");
+        for cycle in 0..20 {
+            sys.run(1).unwrap();
+            check(&format!("cycle {cycle} after restore"));
+        }
     }
 
     /// Per-lane save/load across a whole packed gate-level system — the
