@@ -1,9 +1,9 @@
 //! JIT-lowered netlist execution: fused superinstructions dispatched in
 //! per-opcode runs, with optional level-parallel packed execution.
 //!
-//! [`NetlistProgram`] executes one `match` per instruction per cycle.
-//! This module post-processes that levelized stream **once** into a
-//! [`JitNetlistProgram`]:
+//! Executed as is, a [`NetlistProgram`] would cost one `match` per
+//! instruction per cycle. This module post-processes that levelized
+//! stream **once** into a [`JitNetlistProgram`]:
 //!
 //! * **peephole fusion + folding** — inverters fuse into their
 //!   consumers (NAND/NOR/and-not/or-not/De-Morgan rewrites and
@@ -23,12 +23,12 @@
 //!   results are bit-identical at any `LIS_SIM_THREADS`.
 //!
 //! [`JitNetlistSim`] (scalar) and [`JitPackedNetlistSim`] (64 lanes per
-//! `u64`) expose the same [`NetlistExec`] surface as the interpreter
-//! and the compiled engines; property tests pin all five engines
-//! cycle-for-cycle equivalent. Dead-code elimination never removes
-//! flip-flops or their pin cones, so `step_changed()` — the quiescence
-//! probe the activity-driven kernel keys on — answers identically to
-//! the unoptimized engines even for state no output observes.
+//! `u64`) expose the same [`NetlistExec`] surface as the interpreter;
+//! property tests pin both cycle-for-cycle equivalent to it.
+//! Dead-code elimination never removes flip-flops or their pin cones,
+//! so `step_changed()` — the quiescence probe the activity-driven
+//! kernel keys on — answers identically to the interpreter even for
+//! state no output observes.
 
 // Unsafe is confined to `SlotPtr`, the unchecked slot accessor behind
 // the dispatch loops. `JitNetlistProgram::lower` asserts at build time
@@ -1419,21 +1419,11 @@ fn rom_read_scalar(rom: &CompiledRom, s: SlotPtr<bool>) {
     }
 }
 
-impl crate::compile::RomSlots for SlotPtr<u64> {
-    fn get(&self, s: u32) -> u64 {
-        // SAFETY: ROM addr/data indices validated at build time.
-        unsafe { SlotPtr::get(*self, s) }
-    }
-    fn set(&mut self, s: u32, w: u64) {
-        // SAFETY: as above; in the threaded path one shard owns the
-        // whole ROM instruction, so its data writes don't race.
-        unsafe { SlotPtr::set(*self, s, w) }
-    }
-}
-
 fn rom_read_packed(rom: &CompiledRom, s: SlotPtr<u64>) {
-    let mut s = s;
-    packed_rom_gather(rom, &mut s);
+    // SAFETY: ROM addr/data indices validated at build time; in the
+    // threaded path one shard owns the whole ROM instruction, so its
+    // data writes don't race.
+    packed_rom_gather(rom, |a| unsafe { s.get(a) }, |d, w| unsafe { s.set(d, w) });
 }
 
 /// Presents registered state on the q slots, then executes every run.
@@ -1461,11 +1451,11 @@ fn eval_jit<W: SimWord, F: Fn(&CompiledRom, SlotPtr<W>)>(
 /// Commits every flip-flop through its class formula; hold-class
 /// flip-flops (enable and reset both tied low) can never change and
 /// are skipped. Returns whether any flip-flop changed value — by
-/// construction identical to what the unoptimized engines report.
+/// construction identical to what the interpreter reports.
 ///
-/// The plain-class loops are the hot path and match the baseline
-/// engines' commit instruction-for-instruction; only the rare `*_inv`
-/// classes pay for undoing pin-fused inverters.
+/// The plain-class loops are the hot path and cost one formula per
+/// flip-flop; only the rare `*_inv` classes pay for undoing pin-fused
+/// inverters.
 fn commit_jit<W: SimWord>(prog: &JitNetlistProgram, values: &[W], state: &mut [W]) -> bool {
     assert_eq!(values.len(), prog.slots);
     assert_eq!(state.len(), prog.dffs.len());
@@ -1575,8 +1565,8 @@ fn init_state<W: SimWord>(prog: &JitNetlistProgram) -> Vec<W> {
     prog.dffs.iter().map(|d| W::splat(d.reset_value)).collect()
 }
 
-/// Scalar JIT executor: identical semantics to
-/// [`crate::CompiledNetlistSim`] (and the interpreter), executing the
+/// Scalar JIT executor: identical semantics to the interpreter
+/// ([`crate::NetlistSim`]), executing the
 /// fused, run-sorted [`JitNetlistProgram`] instead of the raw
 /// instruction stream — fewer instructions, one branch per run, dense
 /// slots.
@@ -1626,7 +1616,7 @@ impl JitNetlistSim {
     }
 
     /// The registered flip-flop state, in program order (checkpoint
-    /// seam, interchangeable with [`crate::CompiledNetlistSim`]'s).
+    /// seam, interchangeable with [`crate::NetlistSim::dff_state`]).
     pub fn dff_state(&self) -> &[bool] {
         &self.state
     }
@@ -1768,8 +1758,11 @@ impl NetlistExec for JitNetlistSim {
 /// [`JitPackedNetlistSim::set_parallel_threshold`]).
 pub const JIT_PARALLEL_MIN_INSTRS: usize = 4096;
 
-/// 64-lane bit-parallel JIT executor: [`crate::PackedNetlistSim`]
-/// semantics over the fused, run-sorted program, with an optional
+/// 64-lane bit-parallel JIT executor: every net slot is a `u64` holding
+/// one bit per lane, so each instruction evaluates 64 independent
+/// simulations (inputs, outputs and flip-flop state are fully
+/// independent per lane; ROM reads gather a per-lane address). It runs
+/// the fused, run-sorted program, with an optional
 /// **level-parallel threaded mode** ([`JitPackedNetlistSim::set_threads`])
 /// that shards each level's runs across the work-stealing pool in
 /// deterministic index order — bit-identical at any thread count.
@@ -1874,8 +1867,8 @@ impl JitPackedNetlistSim {
     }
 
     /// The registered flip-flop state, in program order, one bit per
-    /// lane (checkpoint seam, interchangeable with
-    /// [`crate::PackedNetlistSim`]'s).
+    /// lane (checkpoint seam: bit `l` of each word is lane `l`'s
+    /// [`JitNetlistSim::dff_state`]).
     pub fn dff_state(&self) -> &[u64] {
         &self.state
     }
@@ -2128,7 +2121,7 @@ impl NetlistExec for JitPackedNetlistSim {
 mod tests {
     use super::*;
     use crate::compile::LANES;
-    use crate::{CompiledNetlistSim, NetlistSim};
+    use crate::NetlistSim;
     use lis_netlist::ModuleBuilder;
 
     fn adder_module() -> Module {
@@ -2241,21 +2234,21 @@ mod tests {
     }
 
     #[test]
-    fn jit_rom_reads_match_compiled() {
+    fn jit_rom_reads_match_interpreter() {
         let mut b = ModuleBuilder::new("romtest");
         let addr = b.input("addr", 3);
         let data = b.rom("r", &addr, 8, vec![10, 20, 30, 40, 50]);
         b.output("data", &data);
         let m = b.finish().unwrap();
-        let mut compiled = CompiledNetlistSim::new(m.clone()).unwrap();
+        let mut interp = NetlistSim::new(m.clone()).unwrap();
         let mut jit = JitNetlistSim::new(m).unwrap();
         for a in 0..8u64 {
-            compiled.set_input("addr", a).unwrap();
+            interp.set_input("addr", a).unwrap();
             jit.set_input("addr", a).unwrap();
-            compiled.eval();
+            interp.eval();
             jit.eval();
             assert_eq!(
-                compiled.get_output("data").unwrap(),
+                interp.get_output("data").unwrap(),
                 jit.get_output("data").unwrap(),
                 "addr {a}"
             );
@@ -2297,30 +2290,37 @@ mod tests {
     }
 
     #[test]
-    fn jit_dff_state_seam_is_compatible_with_compiled() {
+    fn jit_dff_state_seam_is_compatible_with_interpreter() {
         let mut b = ModuleBuilder::new("cnt");
         let en = b.input("en", 1).bit(0);
         let rst = b.input("rst", 1).bit(0);
         let count = b.counter_mod(4, en, rst, 10);
         b.output("count", &count);
         let m = b.finish().unwrap();
-        let mut compiled = CompiledNetlistSim::new(m.clone()).unwrap();
+        let mut interp = NetlistSim::new(m.clone()).unwrap();
         let mut jit = JitNetlistSim::new(m).unwrap();
         for _ in 0..7 {
-            for s in [&mut compiled as &mut dyn NetlistExec, &mut jit] {
+            for s in [&mut interp as &mut dyn NetlistExec, &mut jit] {
                 s.set_input("en", 1).unwrap();
                 s.set_input("rst", 0).unwrap();
                 s.step();
             }
         }
-        // Checkpoint from the compiled engine restores into the JIT
-        // engine (same program-order state layout).
-        let saved = compiled.dff_state().to_vec();
+        // Both engines lay state out in program order, so a checkpoint
+        // moves either way between them.
+        let saved = interp.dff_state();
+        assert_eq!(saved, jit.dff_state());
         jit.reset_state();
         jit.set_dff_state(&saved);
         jit.set_input("en", 0).unwrap();
         jit.set_input("rst", 0).unwrap();
         jit.eval();
         assert_eq!(jit.get_output("count").unwrap(), 7);
+        jit.step();
+        interp.reset_state();
+        interp.set_dff_state(jit.dff_state());
+        interp.set_input("en", 0).unwrap();
+        interp.eval();
+        assert_eq!(interp.get_output("count").unwrap(), 7);
     }
 }

@@ -26,22 +26,20 @@
 //!   into a component system for co-simulation against behavioural
 //!   models.
 //!
-//! On top of the interpreter sits a ladder of four faster engines.
+//! Beside the interpreter sits one fast engine per lane width.
 //! [`NetlistProgram`] lowers a module into a levelized flat instruction
-//! stream; [`CompiledNetlistSim`] executes it scalar (a drop-in, much
-//! faster [`NetlistExec`]) and [`PackedNetlistSim`] executes 64
-//! independent Monte-Carlo lanes per `u64` word. A second lowering
-//! stage, [`JitNetlistProgram`], post-processes that stream — fusing
+//! stream; [`JitNetlistProgram`] post-processes that stream — fusing
 //! superinstructions (inverted-input gates, 3-input chains, wide
 //! AndN/OrN sum-of-products trees), folding constants, propagating
 //! copies, deduplicating and dead-code-eliminating — and sorts each
 //! level into contiguous per-opcode runs so dispatch costs one branch
 //! per run, not per gate. [`JitNetlistSim`] executes it scalar;
-//! [`JitPackedNetlistSim`] executes 64 lanes and can fan each level's
-//! runs across the work-stealing [`pool`] in deterministic shards
-//! (bit-identical at any `LIS_SIM_THREADS`). Harnesses accept any
-//! [`NetlistExec`], so the engines are interchangeable; property tests
-//! pin all five cycle-for-cycle equivalent.
+//! [`JitPackedNetlistSim`] executes 64 independent lanes per `u64`
+//! word and can fan each level's runs across the work-stealing [`pool`]
+//! in deterministic shards (bit-identical at any `LIS_SIM_THREADS`).
+//! Harnesses accept any [`NetlistExec`], so the engines are
+//! interchangeable; property tests pin both JIT engines cycle-for-cycle
+//! equivalent to the interpreter, which shares no evaluation code with them.
 //!
 //! [`Trace`] records signals per cycle and renders standard VCD.
 //!
@@ -82,10 +80,8 @@ mod sched;
 mod signal;
 mod trace;
 
-#[allow(deprecated)]
-pub use checkpoint::hash_words;
 pub use checkpoint::{hash_words128, SystemCheckpoint};
-pub use compile::{CompiledNetlistSim, NetlistProgram, PackedNetlistSim, PortHandle, LANES};
+pub use compile::{NetlistProgram, PortHandle, LANES};
 pub use jit::{JitNetlistProgram, JitNetlistSim, JitPackedNetlistSim, JIT_PARALLEL_MIN_INSTRS};
 pub use kernel::{Activity, Component, FnComponent, Ports, SettleMode, SimError, System};
 pub use netlist_sim::{NetlistComponent, NetlistExec, NetlistSim};

@@ -2,21 +2,21 @@
 //!
 //! [`NetlistSim`] is the reference executor for generated wrapper
 //! hardware: `lis-wrappers` proves each wrapper netlist equivalent to its
-//! behavioural model by co-simulating both on random stimuli. The
-//! compiled engine in [`crate::compile`] is proven equivalent to this
-//! interpreter property-test by property-test, which is why the
-//! interpreter stays deliberately simple: it re-walks the topological
-//! order every cycle and evaluates one cell at a time.
+//! behavioural model by co-simulating both on random stimuli. The JIT
+//! engines in [`crate::jit`] are proven equivalent to this interpreter
+//! property-test by property-test, which is why the interpreter stays
+//! deliberately simple and shares no evaluation code with them: it re-walks the
+//! topological order every cycle and evaluates one cell at a time.
 
 use crate::kernel::{Activity, Component, Ports, SimError};
 use crate::signal::{SignalId, SignalView};
 use lis_netlist::{topo_order, CellKind, CombNode, Module, NetlistError};
 
 /// Common surface over netlist executors: the interpreting
-/// [`NetlistSim`], the compiled [`crate::CompiledNetlistSim`], and the
-/// fused direct-threaded [`crate::JitNetlistSim`] expose identical
-/// two-phase semantics, so harnesses (and [`NetlistComponent`]) can
-/// swap engines without caring which one is underneath.
+/// [`NetlistSim`] and the fused direct-threaded [`crate::JitNetlistSim`]
+/// and [`crate::JitPackedNetlistSim`] expose identical two-phase
+/// semantics, so harnesses (and [`NetlistComponent`]) can swap engines
+/// without caring which one is underneath.
 ///
 /// # Examples
 ///
@@ -25,7 +25,7 @@ use lis_netlist::{topo_order, CellKind, CombNode, Module, NetlistError};
 ///
 /// ```
 /// use lis_netlist::ModuleBuilder;
-/// use lis_sim::{CompiledNetlistSim, JitNetlistSim, NetlistExec, NetlistSim};
+/// use lis_sim::{JitNetlistSim, JitPackedNetlistSim, NetlistExec, NetlistSim};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // A gate-level mod-3 counter.
@@ -36,11 +36,12 @@ use lis_netlist::{topo_order, CellKind, CombNode, Module, NetlistError};
 /// b.output("q", &q);
 /// let module = b.finish()?;
 ///
-/// // Interpreter, compiled and JIT engines behind the same trait.
+/// // Interpreter and both JIT engines behind the same trait (the
+/// // packed engine broadcasts inputs to all 64 lanes, reads lane 0).
 /// let mut engines: Vec<Box<dyn NetlistExec>> = vec![
 ///     Box::new(NetlistSim::new(module.clone())?),
-///     Box::new(CompiledNetlistSim::new(module.clone())?),
-///     Box::new(JitNetlistSim::new(module)?),
+///     Box::new(JitNetlistSim::new(module.clone())?),
+///     Box::new(JitPackedNetlistSim::new(module)?),
 /// ];
 /// for engine in &mut engines {
 ///     let counts: Vec<u64> = (0..5)
@@ -159,6 +160,29 @@ impl NetlistSim {
             if let CellKind::Dff { reset_value } = self.module.cells[i].kind {
                 self.ff_state[i] = reset_value;
             }
+        }
+    }
+
+    /// The registered flip-flop state, in program order: one entry per
+    /// flip-flop cell, in module cell order — the layout
+    /// [`crate::JitNetlistSim::dff_state`] uses too.
+    pub fn dff_state(&self) -> Vec<bool> {
+        self.seq_cells.iter().map(|&i| self.ff_state[i]).collect()
+    }
+
+    /// Restores flip-flop state captured by [`NetlistSim::dff_state`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` does not have one entry per flip-flop.
+    pub fn set_dff_state(&mut self, state: &[bool]) {
+        assert_eq!(
+            state.len(),
+            self.seq_cells.len(),
+            "dff state length mismatch"
+        );
+        for (&i, &q) in self.seq_cells.iter().zip(state) {
+            self.ff_state[i] = q;
         }
     }
 
@@ -560,12 +584,12 @@ mod tests {
     }
 
     #[test]
-    fn netlist_component_accepts_the_compiled_engine_too() {
+    fn netlist_component_accepts_the_jit_engine_too() {
         let mut sys = System::new();
         let x = sys.add_signal("x", 4);
         let y = sys.add_signal("y", 4);
         let sum = sys.add_signal("sum", 4);
-        let sim = crate::CompiledNetlistSim::new(adder_module()).unwrap();
+        let sim = crate::JitNetlistSim::new(adder_module()).unwrap();
         sys.add_component(NetlistComponent::new(
             "adder",
             sim,

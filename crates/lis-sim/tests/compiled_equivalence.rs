@@ -1,11 +1,10 @@
 //! Property tests pinning every fast engine to the interpreter —
-//! five-way: interpreter / compiled / packed / JIT scalar /
-//! JIT threaded-packed.
+//! three-way: interpreter / JIT scalar / JIT packed (single-threaded
+//! and level-parallel).
 //!
-//! [`NetlistSim`] is the simple, auditable reference; the levelized
-//! [`CompiledNetlistSim`], the 64-lane [`PackedNetlistSim`], and the
-//! fused direct-threaded [`JitNetlistSim`] / [`JitPackedNetlistSim`]
-//! are the fast engines the harnesses actually run. These properties
+//! [`NetlistSim`] is the simple, auditable reference; the fused
+//! direct-threaded [`JitNetlistSim`] / [`JitPackedNetlistSim`] are the
+//! fast engines the harnesses actually run. These properties
 //! build random feed-forward netlists — gates, muxes, DFF chains with
 //! random reset values and reset wiring, ROM cells with random
 //! contents, and single-reader sum-of-products / product-of-sums trees
@@ -17,9 +16,7 @@
 //! CI matrix exercises it at 1 and 4 workers.
 
 use lis_netlist::{Bus, Module, ModuleBuilder, NetId};
-use lis_sim::{
-    CompiledNetlistSim, JitNetlistSim, JitPackedNetlistSim, NetlistSim, PackedNetlistSim,
-};
+use lis_sim::{JitNetlistSim, JitPackedNetlistSim, NetlistSim, LANES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -183,34 +180,81 @@ fn reference_run(module: &Module, stim: &[Vec<u64>]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-proptest! {
-    /// The scalar compiled engine agrees with the interpreter cycle for
-    /// cycle on every output of random netlists.
-    #[test]
-    fn compiled_matches_interpreter(seed in any::<u64>(), n_gates in 1usize..80, cycles in 1usize..40) {
-        let module = random_module(seed, n_gates);
-        let stim = stimulus(seed, &module, cycles);
-        let expected = reference_run(&module, &stim);
+/// Evaluate-every-time reference for the packed JIT: one interpreter
+/// per lane plus a shadow copy of every lane's input values. It shares
+/// no skip logic (and no evaluation code) with the engine under test.
+struct LaneOracle {
+    module: Module,
+    lanes: Vec<NetlistSim>,
+    /// `inputs[lane][port]`: the value last driven into that lane.
+    inputs: Vec<Vec<u64>>,
+}
 
-        let mut compiled = CompiledNetlistSim::new(module.clone()).unwrap();
-        for (t, step) in stim.iter().enumerate() {
-            for (port, &v) in module.inputs.iter().zip(step) {
-                compiled.set_input(&port.name, v).unwrap();
-            }
-            compiled.eval();
-            for (o, port) in module.outputs.iter().enumerate() {
-                prop_assert_eq!(
-                    compiled.get_output(&port.name).unwrap(),
-                    expected[t][o],
-                    "cycle {} output {} (seed {:#x})", t, &port.name, seed
-                );
-            }
-            compiled.step();
+impl LaneOracle {
+    fn new(module: &Module) -> Self {
+        LaneOracle {
+            module: module.clone(),
+            lanes: (0..LANES)
+                .map(|_| NetlistSim::new(module.clone()).unwrap())
+                .collect(),
+            inputs: vec![vec![0; module.inputs.len()]; LANES],
         }
     }
 
-    /// The 64-lane packed engine agrees with the interpreter in every
-    /// checked lane, each lane carrying an independent stimulus stream.
+    /// Bit `bit` of input `port` takes bit `lane` of `word` in each lane.
+    fn set_input_bit_lanes(&mut self, port: usize, bit: usize, word: u64) {
+        for (lane, values) in self.inputs.iter_mut().enumerate() {
+            let v = &mut values[port];
+            *v = (*v & !(1 << bit)) | (((word >> lane) & 1) << bit);
+        }
+    }
+
+    /// Packs the lanes' flip-flop states one bit per lane.
+    fn dff_state(&self) -> Vec<u64> {
+        let mut words = Vec::new();
+        for (lane, sim) in self.lanes.iter().enumerate() {
+            let state = sim.dff_state();
+            words.resize(state.len(), 0);
+            for (w, q) in words.iter_mut().zip(state) {
+                *w |= u64::from(q) << lane;
+            }
+        }
+        words
+    }
+
+    fn set_dff_state(&mut self, words: &[u64]) {
+        for (lane, sim) in self.lanes.iter_mut().enumerate() {
+            let state: Vec<bool> = words.iter().map(|w| (w >> lane) & 1 == 1).collect();
+            sim.set_dff_state(&state);
+        }
+    }
+
+    fn drive_inputs(&mut self) {
+        for (sim, values) in self.lanes.iter_mut().zip(&self.inputs) {
+            for (port, &v) in self.module.inputs.iter().zip(values) {
+                sim.set_input(&port.name, v).unwrap();
+            }
+        }
+    }
+
+    fn eval(&mut self) {
+        self.drive_inputs();
+        self.lanes.iter_mut().for_each(NetlistSim::eval);
+    }
+
+    /// Steps every lane; true if a flip-flop changed in any lane.
+    fn step_changed(&mut self) -> bool {
+        self.drive_inputs();
+        self.lanes
+            .iter_mut()
+            .fold(false, |changed, sim| sim.step_changed() | changed)
+    }
+}
+
+proptest! {
+    /// The single-threaded 64-lane JIT engine agrees with the
+    /// interpreter in every checked lane, each lane carrying an
+    /// independent stimulus stream.
     #[test]
     fn packed_lanes_match_interpreter(seed in any::<u64>(), n_gates in 1usize..60, cycles in 1usize..25) {
         let module = random_module(seed, n_gates);
@@ -223,7 +267,7 @@ proptest! {
         let expected: Vec<Vec<Vec<u64>>> =
             streams.iter().map(|s| reference_run(&module, s)).collect();
 
-        let mut packed = PackedNetlistSim::new(module.clone()).unwrap();
+        let mut packed = JitPackedNetlistSim::new(module.clone()).unwrap();
         for t in 0..cycles {
             for (li, &lane) in lanes.iter().enumerate() {
                 for (port, &v) in module.inputs.iter().zip(&streams[li][t]) {
@@ -244,33 +288,26 @@ proptest! {
         }
     }
 
-    /// `reset_state` returns the engines to an identical power-up
-    /// state: re-running the same stimulus reproduces the same outputs,
-    /// on the compiled and JIT scalar engines alike.
+    /// `reset_state` returns the JIT scalar engine to its power-up
+    /// state: re-running the same stimulus reproduces the same outputs.
     #[test]
     fn reset_state_restores_power_up_equivalence(seed in any::<u64>(), n_gates in 1usize..40) {
         let module = random_module(seed, n_gates);
         let stim = stimulus(seed, &module, 10);
         let expected = reference_run(&module, &stim);
 
-        let mut compiled = CompiledNetlistSim::new(module.clone()).unwrap();
         let mut jit = JitNetlistSim::new(module.clone()).unwrap();
         for _ in 0..2 {
             for (t, step) in stim.iter().enumerate() {
                 for (port, &v) in module.inputs.iter().zip(step) {
-                    compiled.set_input(&port.name, v).unwrap();
                     jit.set_input(&port.name, v).unwrap();
                 }
-                compiled.eval();
                 jit.eval();
                 for (o, port) in module.outputs.iter().enumerate() {
-                    prop_assert_eq!(compiled.get_output(&port.name).unwrap(), expected[t][o]);
                     prop_assert_eq!(jit.get_output(&port.name).unwrap(), expected[t][o]);
                 }
-                compiled.step();
                 jit.step();
             }
-            compiled.reset_state();
             jit.reset_state();
         }
     }
@@ -345,77 +382,70 @@ proptest! {
     /// The packed JIT's change-driven eval is exact: under random
     /// interleavings of every input setter, flip-flop load, reset, eval
     /// and step — including evals and steps with nothing changed — it
-    /// agrees with [`PackedNetlistSim`], which evaluates every time, on
-    /// every output plane, the `step_changed` result and the state.
+    /// agrees with [`LaneOracle`], 64 interpreters that evaluate every
+    /// time, on every output of every lane, the `step_changed` result
+    /// and the state.
     #[test]
     fn jit_packed_eval_skip_is_exact(seed in any::<u64>(), n_gates in 1usize..60, n_ops in 1usize..80) {
         let module = random_module(seed, n_gates);
         let mut rng = Mix::seeded(seed ^ 0x5EED_0A75);
-        let mut reference = PackedNetlistSim::new(module.clone()).unwrap();
+        let mut oracle = LaneOracle::new(&module);
         let mut jit = JitPackedNetlistSim::new(module.clone()).unwrap();
-        let inputs: Vec<(String, usize)> =
-            module.inputs.iter().map(|p| (p.name.clone(), p.width())).collect();
         for op in 0..n_ops {
-            let (name, width) = &inputs[rng.below(inputs.len())];
-            let (rh, jh) = (
-                reference.input_handle(name).unwrap(),
-                jit.input_handle(name).unwrap(),
-            );
+            let port = rng.below(module.inputs.len());
+            let (name, width) = (&module.inputs[port].name, module.inputs[port].width());
+            let h = jit.input_handle(name).unwrap();
             let what = rng.below(9);
             match what {
                 0 => {
-                    let (bit, word) = (rng.below(*width), rng.next());
-                    reference.set_input_bit_lanes(rh, bit, word);
-                    jit.set_input_bit_lanes(jh, bit, word);
+                    let (bit, word) = (rng.below(width), rng.next());
+                    oracle.set_input_bit_lanes(port, bit, word);
+                    jit.set_input_bit_lanes(h, bit, word);
                 }
                 1 => {
-                    let (lane, value) = (rng.below(64), rng.next());
-                    reference.set_input_lane_h(rh, lane, value);
-                    jit.set_input_lane_h(jh, lane, value);
+                    let (lane, value) = (rng.below(LANES), rng.next());
+                    oracle.inputs[lane][port] = value;
+                    jit.set_input_lane_h(h, lane, value);
                 }
                 2 => {
                     let value = rng.next();
-                    reference.set_input_all(name, value).unwrap();
+                    oracle.inputs.iter_mut().for_each(|lane| lane[port] = value);
                     jit.set_input_all(name, value).unwrap();
                 }
                 3 => {
                     // A fresh random state, or a rewrite of the current one.
                     let state: Vec<u64> = if rng.chance(50) {
-                        reference.dff_state().iter().map(|_| rng.next()).collect()
+                        jit.dff_state().iter().map(|_| rng.next()).collect()
                     } else {
-                        reference.dff_state().to_vec()
+                        jit.dff_state().to_vec()
                     };
-                    reference.set_dff_state(&state);
+                    oracle.set_dff_state(&state);
                     jit.set_dff_state(&state);
                 }
                 4 => {
-                    reference.reset_state();
+                    oracle.lanes.iter_mut().for_each(NetlistSim::reset_state);
                     jit.reset_state();
                 }
                 5 | 6 => {
-                    reference.eval();
+                    oracle.eval();
                     jit.eval();
                 }
                 _ => {
                     prop_assert_eq!(
-                        reference.step_changed(),
+                        oracle.step_changed(),
                         jit.step_changed(),
                         "op {} step_changed (seed {:#x})", op, seed
                     );
                 }
             }
-            prop_assert_eq!(reference.dff_state(), jit.dff_state(), "op {} state", op);
+            prop_assert_eq!(oracle.dff_state(), jit.dff_state(), "op {} state", op);
             if what >= 5 {
                 for port in &module.outputs {
-                    let (rh, jh) = (
-                        reference.output_handle(&port.name).unwrap(),
-                        jit.output_handle(&port.name).unwrap(),
-                    );
-                    for bit in 0..port.width() {
+                    for (lane, sim) in oracle.lanes.iter().enumerate() {
                         prop_assert_eq!(
-                            reference.get_output_bit_lanes(rh, bit),
-                            jit.get_output_bit_lanes(jh, bit),
-                            "op {} output {} bit {} (seed {:#x})", op, &port.name, bit, seed
+                            sim.get_output(&port.name).unwrap(),
+                            jit.get_output_lane(lane, &port.name).unwrap(),
+                            "op {} output {} lane {} (seed {:#x})", op, &port.name, lane, seed
                         );
                     }
                 }
@@ -424,24 +454,24 @@ proptest! {
     }
 
     /// `step_changed` — the quiescence signal the activity-driven
-    /// kernel relies on — agrees between the compiled and JIT scalar
-    /// engines cycle for cycle under identical stimulus.
+    /// kernel relies on — agrees between the interpreter and the JIT
+    /// scalar engine cycle for cycle under identical stimulus.
     #[test]
-    fn step_changed_agrees_between_compiled_and_jit(seed in any::<u64>(), n_gates in 1usize..60, cycles in 1usize..25) {
+    fn step_changed_agrees_between_interpreter_and_jit(seed in any::<u64>(), n_gates in 1usize..60, cycles in 1usize..25) {
         let module = random_module(seed, n_gates);
         let stim = stimulus(seed, &module, cycles);
 
-        let mut compiled = CompiledNetlistSim::new(module.clone()).unwrap();
+        let mut interp = NetlistSim::new(module.clone()).unwrap();
         let mut jit = JitNetlistSim::new(module.clone()).unwrap();
         for (t, step) in stim.iter().enumerate() {
             for (port, &v) in module.inputs.iter().zip(step) {
-                compiled.set_input(&port.name, v).unwrap();
+                interp.set_input(&port.name, v).unwrap();
                 jit.set_input(&port.name, v).unwrap();
             }
-            compiled.eval();
+            interp.eval();
             jit.eval();
             prop_assert_eq!(
-                compiled.step_changed(),
+                interp.step_changed(),
                 jit.step_changed(),
                 "cycle {} step_changed (seed {:#x})", t, seed
             );
